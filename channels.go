@@ -1,6 +1,7 @@
 package mycroft
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -171,13 +172,34 @@ func (s *Service) registerChannelMetrics(h *JobHandle) {
 	}
 }
 
+// ErrRankOutOfRange rejects a channel ingest batch that names a rank outside
+// the job's world. The whole batch is refused before any of it is applied.
+// Test with errors.Is.
+var ErrRankOutOfRange = errors.New("rank out of range")
+
+// checkRanks refuses a batch when any item's rank falls outside the job's
+// world.
+func checkRanks[T any](h *JobHandle, items []T, rank func(T) Rank) error {
+	world := h.Job.Cluster.WorldSize()
+	for i, it := range items {
+		if r := rank(it); r < 0 || int(r) >= world {
+			return fmt.Errorf("mycroft: job %q: item %d names rank %d, world size is %d: %w", h.ID, i, r, world, ErrRankOutOfRange)
+		}
+	}
+	return nil
+}
+
 // IngestLogs feeds structured training-log lines into a job's log-diagnosis
 // channel and runs one analysis pass. It is the tracepoint-free ingest path:
 // a job that never emits a single trace record still reaches verdicts (and
-// remediation) through here.
+// remediation) through here. A batch naming a rank outside the job's world
+// is refused whole with ErrRankOutOfRange.
 func (s *Service) IngestLogs(job JobID, lines []LogLine) (IngestResult, error) {
 	h, err := s.resolveJob(job)
 	if err != nil {
+		return IngestResult{}, err
+	}
+	if err := checkRanks(h, lines, func(l LogLine) Rank { return l.Rank }); err != nil {
 		return IngestResult{}, err
 	}
 	ch := h.channels
@@ -201,10 +223,14 @@ func (s *Service) IngestLogs(job JobID, lines []LogLine) (IngestResult, error) {
 }
 
 // IngestTimings feeds per-rank iteration timestamps into a job's black-box
-// perf channel and runs one analysis pass.
+// perf channel and runs one analysis pass. Like IngestLogs, it refuses a
+// batch with an out-of-range rank whole.
 func (s *Service) IngestTimings(job JobID, samples []IterationSample) (IngestResult, error) {
 	h, err := s.resolveJob(job)
 	if err != nil {
+		return IngestResult{}, err
+	}
+	if err := checkRanks(h, samples, func(s IterationSample) Rank { return s.Rank }); err != nil {
 		return IngestResult{}, err
 	}
 	ch := h.channels

@@ -1,8 +1,11 @@
 package mycroft
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -269,5 +272,81 @@ func TestLogIngestKeepsTracelessJobAlive(t *testing.T) {
 	}
 	if recs := h.StoreStats().Ingested; recs != 0 {
 		t.Fatalf("%d trace records ingested, want 0 with tracing disabled", recs)
+	}
+}
+
+// TestIngestRejectsOutOfRangeRank: a channel batch naming a rank outside the
+// job's world is refused whole with ErrRankOutOfRange, on both transports.
+// Nothing of it is applied, and over the wire the refusal is an HTTP 400 the
+// client reports as an answer, not a dropped connection.
+func TestIngestRejectsOutOfRangeRank(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		name := "in-process"
+		if remote {
+			name = "remote"
+		}
+		t.Run(name, func(t *testing.T) {
+			svc, _ := tracelessService(t)
+			var c Client = svc
+			if remote {
+				ts := httptest.NewServer(NewServer(svc).Handler())
+				defer ts.Close()
+				rc, err := Dial(ts.URL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rc.Close()
+				c = rc
+			}
+			svc.Run(20 * time.Second)
+			before, err := c.ChannelStats("llm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Valid lines first: an ingest that applied items before checking
+			// would already have counted them when the bad rank turns up. The
+			// error burst on rank 8 alone would escalate to a verdict.
+			var lines []LogLine
+			for _, r := range []Rank{1, 2, 8, 8, 8, 8} {
+				lines = append(lines, LogLine{Rank: r, Level: "error", Text: "NET/IB rdma qp 17 timeout on port 1"})
+			}
+			batches := []struct {
+				what   string
+				ingest func() (IngestResult, error)
+			}{
+				{"logs rank = world", func() (IngestResult, error) { return c.IngestLogs("llm", lines) }},
+				{"logs rank < 0", func() (IngestResult, error) {
+					return c.IngestLogs("llm", []LogLine{{Rank: 0, Text: "ok"}, {Rank: -1, Text: "bad"}})
+				}},
+				{"timings rank = world", func() (IngestResult, error) {
+					return c.IngestTimings("llm", []IterationSample{{Rank: 0, Iter: 1}, {Rank: 8, Iter: 1}})
+				}},
+				{"timings rank < 0", func() (IngestResult, error) {
+					return c.IngestTimings("llm", []IterationSample{{Rank: -3, Iter: 1}})
+				}},
+			}
+			for _, b := range batches {
+				res, err := b.ingest()
+				if err == nil {
+					t.Fatalf("%s: accepted (%+v), want a rejection", b.what, res)
+				}
+				if !remote && !errors.Is(err, ErrRankOutOfRange) {
+					t.Fatalf("%s: error %v does not match ErrRankOutOfRange", b.what, err)
+				}
+				if remote && (isTransportErr(err) || !strings.Contains(err.Error(), ErrRankOutOfRange.Error())) {
+					t.Fatalf("%s: want the server's 400 answer, got %v", b.what, err)
+				}
+			}
+			after, err := c.ChannelStats("llm")
+			if err != nil {
+				t.Fatalf("daemon stopped answering: %v", err)
+			}
+			if !reflect.DeepEqual(after, before) {
+				t.Fatalf("rejected batches changed channel stats:\n before %+v\n after  %+v", before, after)
+			}
+			if res, err := c.IngestLogs("llm", []LogLine{{Rank: 7, Text: "iteration 20 loss 2.31"}}); err != nil || res.Accepted != 1 {
+				t.Fatalf("valid batch after rejections: %+v, %v", res, err)
+			}
+		})
 	}
 }

@@ -74,24 +74,6 @@ func (rj *ReplicaJob) Events() []api.SeqEvent {
 	return out
 }
 
-// TraceRecords returns the mirror records matching the predicate, in
-// arrival (time-ascending) order. limit <= 0 returns everything.
-func (rj *ReplicaJob) TraceRecords(match func(api.TraceRecord) bool, limit int) []api.TraceRecord {
-	rj.mu.Lock()
-	defer rj.mu.Unlock()
-	var out []api.TraceRecord
-	for _, r := range rj.trace {
-		if match != nil && !match(r) {
-			continue
-		}
-		out = append(out, r)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
-}
-
 // ReplicaStore holds every job this peer follows, keyed by job id. Batches
 // arrive over /v1/cluster/replicate; jobs are created on first contact so a
 // follower needs no pre-provisioning.
@@ -225,7 +207,7 @@ func Page(n, offset, limit int) (lo, hi, next int) {
 	return offset, hi, next
 }
 
-// inWindow applies the (from, to] wire time window; to 0 = unbounded.
+// inWindow applies the [from, to] wire time window; to 0 = unbounded.
 func inWindow(atNs, fromNs, toNs int64) bool {
 	if atNs < fromNs {
 		return false
@@ -316,23 +298,26 @@ func (rj *ReplicaJob) QueryRemediations(req api.RemediationsRequest) api.Remedia
 
 // QueryTrace answers from the trace mirror. The mirror has no cursor
 // support: pages are Limit-bounded prefixes and Next is always nil, which
-// the response's Total makes visible.
+// the response's Total makes visible. One pass under the lock counts Total
+// and copies out only the page, never the whole matching mirror.
 func (rj *ReplicaJob) QueryTrace(req api.TraceRequest) api.TraceResponse {
-	match := func(r api.TraceRecord) bool {
-		if len(req.Ranks) > 0 && !slices.Contains(req.Ranks, r.Rank) {
-			return false
+	resp := api.TraceResponse{Job: rj.Job}
+	rj.mu.Lock()
+	defer rj.mu.Unlock()
+	for i := range rj.trace {
+		r := &rj.trace[i]
+		if len(req.Ranks) > 0 && !slices.Contains(req.Ranks, r.Rank) ||
+			req.Comm != 0 && r.CommID != req.Comm ||
+			len(req.Kinds) > 0 && !slices.Contains(req.Kinds, r.Kind) ||
+			!inWindow(r.TimeNs, req.FromNs, req.ToNs) {
+			continue
 		}
-		if req.Comm != 0 && r.CommID != req.Comm {
-			return false
+		resp.Total++
+		if req.Limit <= 0 || len(resp.Records) < req.Limit {
+			resp.Records = append(resp.Records, *r)
 		}
-		if len(req.Kinds) > 0 && !slices.Contains(req.Kinds, r.Kind) {
-			return false
-		}
-		return inWindow(r.TimeNs, req.FromNs, req.ToNs)
 	}
-	total := len(rj.TraceRecords(match, 0))
-	recs := rj.TraceRecords(match, req.Limit)
-	return api.TraceResponse{Job: rj.Job, Records: recs, Total: total}
+	return resp
 }
 
 // Describe renders this replica slot as a ClusterJob row.

@@ -177,8 +177,12 @@ func (c *RemoteClient) ListJobs() (JobsResult, error) {
 
 // QueryTrace implements Client over the wire.
 func (c *RemoteClient) QueryTrace(q TraceQuery) (TraceResult, error) {
-	var resp api.TraceResponse
-	if err := c.post(api.Prefix+"/trace/query", traceQueryToWire(q), &resp); err != nil {
+	body, err := c.postBody(api.Prefix+"/trace/query", traceQueryToWire(q))
+	if err != nil {
+		return TraceResult{}, err
+	}
+	resp, err := api.DecodeTraceResponse(body)
+	if err != nil {
 		return TraceResult{}, err
 	}
 	return traceResultFromWire(resp)
@@ -441,39 +445,54 @@ func (c *RemoteClient) get(path string, out any) error {
 	if err != nil {
 		return err
 	}
-	return decode(path, resp, out)
+	body, err := readBody(path, resp)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, out)
 }
 
 func (c *RemoteClient) post(path string, in, out any) error {
-	body, err := json.Marshal(in)
+	body, err := c.postBody(path, in)
 	if err != nil {
 		return err
+	}
+	return json.Unmarshal(body, out)
+}
+
+// postBody sends in as a JSON POST and returns the 200 answer's body.
+func (c *RemoteClient) postBody(path string, in any) ([]byte, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return nil, err
 	}
 	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return decode(path, resp, out)
+	return readBody(path, resp)
 }
 
 // maxResponse bounds how much of a response body the client will read.
 const maxResponse = 64 << 20
 
-func decode(path string, resp *http.Response, out any) error {
+// readBody reads and closes a response, turning a non-200 answer into the
+// error it carries.
+func readBody(path string, resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse+1))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(body) > maxResponse {
-		return fmt.Errorf("mycroft: %s: response exceeds %d MiB — narrow the query or page it", path, maxResponse>>20)
+		return nil, fmt.Errorf("mycroft: %s: response exceeds %d MiB — narrow the query or page it", path, maxResponse>>20)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var we api.ErrorResponse
 		if json.Unmarshal(body, &we) == nil && we.Error != "" {
-			return fmt.Errorf("%s", we.Error)
+			return nil, fmt.Errorf("%s", we.Error)
 		}
-		return fmt.Errorf("mycroft: %s: HTTP %d", path, resp.StatusCode)
+		return nil, fmt.Errorf("mycroft: %s: HTTP %d", path, resp.StatusCode)
 	}
-	return json.Unmarshal(body, out)
+	return body, nil
 }

@@ -2,6 +2,7 @@ package mycroft
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -158,21 +159,23 @@ func TestRemoteQueriesMatchInProcess(t *testing.T) {
 		}
 	}
 
-	// Trace page with Total and cursor.
-	wantPage, _ := local.QueryTrace(TraceQuery{Ranks: []Rank{5}, Limit: 10})
-	gotPage, err := rc.QueryTrace(TraceQuery{Ranks: []Rank{5}, Limit: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotPage.Total != wantPage.Total || len(gotPage.Records) != len(wantPage.Records) {
-		t.Fatalf("trace page over wire: %d records Total %d, want %d Total %d",
-			len(gotPage.Records), gotPage.Total, len(wantPage.Records), wantPage.Total)
-	}
-	if (gotPage.Next == nil) != (wantPage.Next == nil) {
-		t.Fatalf("trace cursor mismatch: %v vs %v", gotPage.Next, wantPage.Next)
-	}
-	if gotPage.Next != nil && *gotPage.Next != *wantPage.Next {
-		t.Fatalf("trace cursor differs: %+v vs %+v", *gotPage.Next, *wantPage.Next)
+	// Trace pages, record for record: a first page cut short by Limit (so
+	// it carries a cursor), then the page that cursor resumes.
+	tq := TraceQuery{Ranks: []Rank{5}, Limit: 10}
+	for page := 1; page <= 2; page++ {
+		wantPage, err := local.QueryTrace(tq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantPage.Next == nil {
+			t.Fatalf("trace page %d has no cursor; the check needs a longer run", page)
+		}
+		gotPage, err := rc.QueryTrace(tq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTracePage(t, fmt.Sprintf("live trace page %d", page), gotPage, wantPage)
+		tq.Cursor = wantPage.Next
 	}
 
 	// Dependencies + blast radius + triage + job listing.
@@ -209,6 +212,69 @@ func TestRemoteQueriesMatchInProcess(t *testing.T) {
 		gotJobs.Jobs[0].Records != wantJobs.Jobs[0].Records ||
 		gotJobs.Jobs[0].WorldSize != wantJobs.Jobs[0].WorldSize {
 		t.Fatalf("job listing differs: %+v vs %+v", gotJobs, wantJobs)
+	}
+}
+
+// sameTracePage fails unless a page read over the wire matches the
+// in-process page exactly: header, cursor and every field of every record.
+func sameTracePage(t *testing.T, what string, got, want TraceResult) {
+	t.Helper()
+	if got.Job != want.Job || got.Total != want.Total || len(got.Records) != len(want.Records) {
+		t.Fatalf("%s: job %q, %d records, Total %d; want job %q, %d records, Total %d", what,
+			got.Job, len(got.Records), got.Total, want.Job, len(want.Records), want.Total)
+	}
+	if (got.Next == nil) != (want.Next == nil) || got.Next != nil && *got.Next != *want.Next {
+		t.Fatalf("%s: cursor %+v, want %+v", what, got.Next, want.Next)
+	}
+	for i := range want.Records {
+		if got.Records[i] != want.Records[i] {
+			t.Fatalf("%s: record %d differs over wire:\n got  %+v\n want %+v", what, i, got.Records[i], want.Records[i])
+		}
+	}
+}
+
+// TestReplicaTracePageOverWire: a follower answers trace pages for a job it
+// replicates, and what the client decodes matches the page the follower
+// computes in-process, record for record.
+func TestReplicaTracePageOverWire(t *testing.T) {
+	peers := startCluster(t, []string{"p1", "p2"}, []JobID{"job-0", "job-1"}, 2)
+	for i := 0; i < 15; i++ {
+		for _, p := range peers {
+			p.srv.Advance(time.Second)
+			if errs := p.srv.ReplicateNow(); len(errs) > 0 {
+				t.Fatalf("replication: %v", errs[0])
+			}
+		}
+	}
+	follower := peers["p1"]
+	if _, primary := follower.handles["job-0"]; primary {
+		follower = peers["p2"]
+	}
+	rj := follower.srv.loadCluster().store.Job("job-0")
+	if rj == nil {
+		t.Fatal("follower holds no replica of job-0")
+	}
+	rc, err := Dial(follower.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for _, q := range []TraceQuery{
+		{Job: "job-0", Limit: 100},
+		{Job: "job-0", Ranks: []Rank{3}, Kinds: []RecordKind{RecordCompletion}, Limit: 7},
+	} {
+		want, err := traceResultFromWire(rj.QueryTrace(traceQueryToWire(q)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Records) != q.Limit || want.Total <= q.Limit {
+			t.Fatalf("replica page for %+v holds %d of %d records; the check needs a fuller mirror", q, len(want.Records), want.Total)
+		}
+		got, err := rc.QueryTrace(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTracePage(t, fmt.Sprintf("replica trace page %+v", q), got, want)
 	}
 }
 

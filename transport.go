@@ -112,6 +112,9 @@ func traceResultToWire(res TraceResult) api.TraceResponse {
 
 func traceResultFromWire(resp api.TraceResponse) (TraceResult, error) {
 	res := TraceResult{Job: JobID(resp.Job), Total: resp.Total, Next: traceCursorFromWire(resp.Next)}
+	if len(resp.Records) > 0 {
+		res.Records = make([]TraceRecord, 0, len(resp.Records))
+	}
 	for _, r := range resp.Records {
 		rec, err := r.Record()
 		if err != nil {
